@@ -3,7 +3,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
+#include "common/random.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
 #include "xpath/evaluator.h"
@@ -274,9 +276,18 @@ StatusOr<std::string> Database::Serialize(PreId root, bool pretty) {
 StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
                                                int retries) {
   Status last = Status::OK();
+  TxnId loser = 0;
   for (int attempt = 0; attempt <= retries; ++attempt) {
+    if (attempt > 0) {
+      // The losing transaction ended (Abort, or the failed Commit) and
+      // went out of scope: the pause holds no page lock. Jitter is
+      // seeded per transaction so competing writers drift apart.
+      Random jitter(loser);
+      std::this_thread::sleep_for(txn::RetryBackoff(attempt, &jitter));
+    }
     PXQ_ASSIGN_OR_RETURN(std::unique_ptr<txn::Transaction> t,
                          txns_->Begin());
+    loser = t->id();
     auto stats = xupdate::ApplyXUpdate(t->store(), xupdate_doc);
     if (!stats.ok()) {
       t->Abort().ok();

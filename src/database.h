@@ -99,7 +99,13 @@ class Database {
 
   // --- updates ----------------------------------------------------------
   /// Parse and apply an XUpdate document in one transaction; retries
-  /// `retries` times on conflict.
+  /// `retries` times on conflict (first-updater-wins loss or page-lock
+  /// timeout). Retries back off: a jittered pause that doubles per
+  /// retry up to a cap (txn::RetryBackoff, DESIGN §7), taken after the
+  /// losing transaction has ended, so no page lock is held while it
+  /// sleeps. `Aborted: update failed after retries: <last conflict>`
+  /// means conflicts used up the whole budget; any other error is
+  /// returned at once, unretried.
   StatusOr<xupdate::ApplyStats> Update(std::string_view xupdate_doc,
                                        int retries = 5);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/random.h"
 #include "index/index_manager.h"
 
 namespace pxq::txn {
@@ -440,6 +441,23 @@ Status Transaction::Abort() {
   finished_ = true;
   mgr_->EndTransaction(this);
   return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Conflict-retry backoff
+// ---------------------------------------------------------------------------
+
+std::chrono::microseconds RetryBackoffBound(int attempt) {
+  if (attempt <= 0) return std::chrono::microseconds{0};
+  std::chrono::microseconds bound = kRetryBackoffUnit;
+  for (int k = 1; k < attempt && bound < kRetryBackoffCap; ++k) bound *= 2;
+  return std::min(bound, kRetryBackoffCap);
+}
+
+std::chrono::microseconds RetryBackoff(int attempt, Random* rng) {
+  const int64_t bound = RetryBackoffBound(attempt).count();
+  if (bound == 0) return std::chrono::microseconds{0};
+  return std::chrono::microseconds{rng->Range(bound / 2, bound)};
 }
 
 }  // namespace pxq::txn

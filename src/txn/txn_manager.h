@@ -24,6 +24,7 @@
 #define PXQ_TXN_TXN_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <string>
@@ -36,6 +37,10 @@
 #include "storage/paged_store.h"
 #include "txn/lock_manager.h"
 #include "txn/wal.h"
+
+namespace pxq {
+class Random;
+}  // namespace pxq
 
 namespace pxq::index {
 class IndexManager;
@@ -269,6 +274,17 @@ class Transaction {
   bool finished_ = false;
   Status poisoned_ = Status::OK();  // set when a page hook failed
 };
+
+/// Conflict-retry backoff (DESIGN §7): the pause before `attempt` of a
+/// transaction that lost first-updater-wins. Attempt 0 is the first try
+/// and never pauses; retry k draws uniformly from [bound/2, bound], the
+/// bound doubling from kRetryBackoffUnit per retry up to
+/// kRetryBackoffCap. Sleep only once the losing transaction has ended,
+/// so the pause holds no page lock.
+inline constexpr std::chrono::microseconds kRetryBackoffUnit{50};
+inline constexpr std::chrono::microseconds kRetryBackoffCap{3200};
+std::chrono::microseconds RetryBackoffBound(int attempt);
+std::chrono::microseconds RetryBackoff(int attempt, Random* rng);
 
 }  // namespace pxq::txn
 

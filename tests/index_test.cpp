@@ -14,6 +14,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1466,7 +1467,15 @@ TEST(IndexConcurrencyTest, ConcurrentUpdatesStayConsistent) {
   auto db = std::move(db_or).value();
 
   std::atomic<bool> stop{false};
-  std::atomic<int> failures{0};
+  std::atomic<int> update_failures{0};
+  std::atomic<int> query_failures{0};
+  std::mutex first_failure_mu;
+  std::string first_update_failure;
+  std::string first_query_failure;
+  auto note = [&](std::string* first, const std::string& what) {
+    std::lock_guard<std::mutex> l(first_failure_mu);
+    if (first->empty()) *first = what;
+  };
   std::vector<std::thread> threads;
   for (int w = 0; w < 3; ++w) {
     threads.emplace_back([&, w] {
@@ -1478,7 +1487,12 @@ TEST(IndexConcurrencyTest, ConcurrentUpdatesStayConsistent) {
             std::to_string(w * 100 + i) + "\">t" + std::to_string(w) +
             "</c></xupdate:append></xupdate:modifications>";
         auto s = db->Update(doc, /*retries=*/20);
-        if (!s.ok()) ++failures;
+        if (!s.ok()) {
+          ++update_failures;
+          note(&first_update_failure,
+               "writer " + std::to_string(w) + " iteration " +
+                   std::to_string(i) + ": " + s.status().ToString());
+        }
       }
     });
   }
@@ -1486,7 +1500,11 @@ TEST(IndexConcurrencyTest, ConcurrentUpdatesStayConsistent) {
     while (!stop.load()) {
       for (const char* q : {"//c", "//b[c]", "//c[@p>'50']"}) {
         auto r = db->Query(q);
-        if (!r.ok()) ++failures;
+        if (!r.ok()) {
+          ++query_failures;
+          note(&first_query_failure,
+               std::string(q) + ": " + r.status().ToString());
+        }
       }
     }
   });
@@ -1494,7 +1512,10 @@ TEST(IndexConcurrencyTest, ConcurrentUpdatesStayConsistent) {
   stop.store(true);
   threads.back().join();
 
-  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(update_failures.load(), 0)
+      << "first failed update: " << first_update_failure;
+  EXPECT_EQ(query_failures.load(), 0)
+      << "first failed query: " << first_query_failure;
   EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
   auto c = db->Query("//c");
   ASSERT_TRUE(c.ok());

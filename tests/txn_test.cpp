@@ -4,10 +4,12 @@
 // recovery, checkpointing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
 
+#include "common/random.h"
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
@@ -169,6 +171,37 @@ TEST(TxnTest, FirstUpdaterWinsAcrossCommit) {
   auto s2 = xupdate::ApplyXUpdate(t2.value()->store(), update);
   EXPECT_FALSE(s2.ok());
   EXPECT_TRUE(s2.status().IsConflict()) << s2.status().ToString();
+}
+
+TEST(TxnTest, RetryBackoffScheduleIsJitteredAndCapped) {
+  // Attempt 0 is the first try and never sleeps.
+  Random rng(7);
+  EXPECT_EQ(txn::RetryBackoffBound(0).count(), 0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(txn::RetryBackoff(0, &rng).count(), 0);
+  }
+  // The bound starts at one unit, doubles per retry, then holds at the
+  // cap — which stays far below the deadlock timeout.
+  EXPECT_EQ(txn::RetryBackoffBound(1), txn::kRetryBackoffUnit);
+  EXPECT_LT(txn::kRetryBackoffCap * 10, txn::TxnOptions{}.lock_timeout);
+  bool reached_cap = false;
+  for (int attempt = 2; attempt <= 64; ++attempt) {
+    const auto prev = txn::RetryBackoffBound(attempt - 1);
+    const auto bound = txn::RetryBackoffBound(attempt);
+    EXPECT_EQ(bound, std::min(prev * 2, txn::kRetryBackoffCap))
+        << "attempt " << attempt;
+    reached_cap = reached_cap || bound == txn::kRetryBackoffCap;
+  }
+  EXPECT_TRUE(reached_cap);
+  // Each pause is jittered within [bound/2, bound].
+  for (int attempt = 1; attempt <= 64; ++attempt) {
+    const auto bound = txn::RetryBackoffBound(attempt);
+    for (int i = 0; i < 50; ++i) {
+      const auto pause = txn::RetryBackoff(attempt, &rng);
+      EXPECT_GE(pause, bound / 2) << "attempt " << attempt;
+      EXPECT_LE(pause, bound) << "attempt " << attempt;
+    }
+  }
 }
 
 TEST(TxnTest, ConcurrentDisjointWritersBothCommit) {
